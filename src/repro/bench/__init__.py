@@ -502,10 +502,15 @@ def bench_self_profile(
     (<5% on smoke scenarios) is asserted by ``tests/test_trace.py``
     against this same measurement.
 
-    Traced and untraced repeats are *interleaved* (and both take the
-    minimum) so slow machine-load drift hits both sides equally instead
-    of biasing whichever ran second.
+    Each repeat is a traced/untraced *pair* run back to back, with the
+    order alternating from pair to pair, and the overhead is the median
+    of the pairs' traced/untraced ratios: slow drift in machine load hits
+    both halves of a pair alike, and one noisy pair cannot move the
+    median.  Pick ``duration_cycles`` so one run lasts well above timer
+    and scheduler noise (~0.5 s or more).
     """
+    import statistics
+
     from repro.serve.jobs import JobSpec
     from repro.serve.workers import execute_job
     from repro.trace import Tracer
@@ -518,32 +523,30 @@ def bench_self_profile(
         engine="fast",
     )
     execute_job(spec)  # warmup: imports, interned symbols, allocator
-    untraced_best = float("inf")
-    traced_best = float("inf")
+    untraced: list[float] = []
+    traced: list[float] = []
     tracer = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        execute_job(spec)
-        untraced_best = min(untraced_best, time.perf_counter() - t0)
-        candidate = Tracer(seed=spec.seed)
-        t0 = time.perf_counter()
-        execute_job(spec, tracer=candidate)
-        elapsed = time.perf_counter() - t0
-        if elapsed < traced_best:
-            traced_best = elapsed
-            tracer = candidate
+    for pair in range(repeats):
+        for with_trace in (False, True) if pair % 2 == 0 else (True, False):
+            candidate = Tracer(seed=spec.seed) if with_trace else None
+            t0 = time.perf_counter()
+            execute_job(spec, tracer=candidate)
+            elapsed = time.perf_counter() - t0
+            if with_trace:
+                traced.append(elapsed)
+                tracer = candidate
+            else:
+                untraced.append(elapsed)
     overhead = (
-        (traced_best - untraced_best) / untraced_best * 100.0
-        if untraced_best
-        else 0.0
-    )
+        statistics.median(t / u for t, u in zip(traced, untraced)) - 1.0
+    ) * 100.0
     assert tracer is not None
     return {
         "scenario": scenario,
         "duration_cycles": duration_cycles,
         "repeats": repeats,
-        "untraced_s": round(untraced_best, 6),
-        "traced_s": round(traced_best, 6),
+        "untraced_s": round(statistics.median(untraced), 6),
+        "traced_s": round(statistics.median(traced), 6),
         "overhead_pct": round(overhead, 3),
         "spans": len(tracer.spans),
         "stages": tracer.stage_totals(),

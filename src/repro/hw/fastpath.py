@@ -322,6 +322,59 @@ class FastHierarchy(MemoryHierarchy):
         self.l3 = FastCacheArray(config.l3_geometry(), "L3")
         self.directory = FastDirectory(config.ncores)
 
+    def access(
+        self,
+        cpu: int,
+        addr: int,
+        size: int,
+        is_write: bool,
+        ip: int,
+        cycle: int,
+    ) -> AccessResult:
+        """:meth:`MemoryHierarchy.access`, with the common case inlined.
+
+        A single-line access probes the L1 and updates the stats right
+        here.  Split accesses and runs with a ``trace_sink`` attached take
+        the shared path in :class:`MemoryHierarchy`.
+        """
+        line_size = self.line_size
+        line = addr // line_size
+        if self.trace_sink is not None or (
+            size > 1 and (addr + size - 1) // line_size != line
+        ):
+            return super().access(cpu, addr, size, is_write, ip, cycle)
+        l1 = self.l1[cpu]
+        s = line % l1._nsets
+        tags = l1._tags[s]
+        if line in tags:
+            l1._clock += 1
+            l1._stamps[s][tags.index(line)] = l1._clock
+            l1.hits += 1
+            latency = self.latencies.l1
+            if is_write:
+                # A line this core holds exclusive and dirty stays so:
+                # record_write would change nothing.
+                directory = self.directory
+                if (
+                    directory._dirty.get(line) != cpu
+                    or directory._holders.get(line) != 1 << cpu
+                ):
+                    latency += self._write_upgrade(cpu, line, ip, addr, size, cycle)
+            result = AccessResult(CacheLevel.L1, latency)
+        else:
+            l1.misses += 1
+            result = self._access_past_l1(cpu, line, is_write, ip, addr, size, cycle)
+        stats = self.stats
+        stats.accesses += 1
+        level = result.level
+        stats.level_counts[level] += 1
+        stats.latency_by_level[level] += result.latency
+        if result.miss_kind is not None:
+            stats.miss_kind_counts[result.miss_kind] += 1
+        users = stats.line_users
+        users[line] = users.get(line, 0) | 1 << cpu
+        return result
+
     def _access_line(
         self,
         cpu: int,
@@ -332,13 +385,25 @@ class FastHierarchy(MemoryHierarchy):
         size: int,
         cycle: int,
     ) -> AccessResult:
-        lat = self.latencies
         if self.l1[cpu].lookup(line):
-            latency = lat.l1
+            latency = self.latencies.l1
             if is_write:
                 latency += self._write_upgrade(cpu, line, ip, addr, size, cycle)
-            return AccessResult(level=CacheLevel.L1, latency=latency)
+            return AccessResult(CacheLevel.L1, latency)
+        return self._access_past_l1(cpu, line, is_write, ip, addr, size, cycle)
 
+    def _access_past_l1(
+        self,
+        cpu: int,
+        line: int,
+        is_write: bool,
+        ip: int,
+        addr: int,
+        size: int,
+        cycle: int,
+    ) -> AccessResult:
+        """The rest of :meth:`_access_line` once the L1 probe missed."""
+        lat = self.latencies
         l2 = self.l2[cpu]
         if l2.lookup(line):
             l2.remove(line)
@@ -346,7 +411,7 @@ class FastHierarchy(MemoryHierarchy):
             latency = lat.l2
             if is_write:
                 latency += self._write_upgrade(cpu, line, ip, addr, size, cycle)
-            return AccessResult(level=CacheLevel.L2, latency=latency)
+            return AccessResult(CacheLevel.L2, latency)
 
         directory = self.directory
         inv = directory.invalidated[cpu].pop(line, None)
@@ -383,13 +448,7 @@ class FastHierarchy(MemoryHierarchy):
             directory.record_read(cpu, line)
 
         self._insert_private(cpu, line, cycle)
-        return AccessResult(
-            level=level,
-            latency=latency,
-            miss_kind=miss_kind,
-            invalidation=inv,
-            eviction=ev,
-        )
+        return AccessResult(level, latency, miss_kind, inv, ev)
 
     def _write_upgrade(
         self, cpu: int, line: int, ip: int, addr: int, size: int, cycle: int

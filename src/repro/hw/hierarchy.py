@@ -100,9 +100,9 @@ class HierarchyStats:
     the stats also accumulate per-level latency sums and a per-line
     accessor bitmask -- the raw inputs :mod:`repro.metrics` derives MPKI,
     average miss latency, and the sharing ratio from.  Both live engines
-    share this accounting because :class:`FastHierarchy` inherits
-    :meth:`MemoryHierarchy.access`, so derived metrics are engine-exact
-    by construction.
+    keep the same accounting: :class:`FastHierarchy` inlines
+    :meth:`record` for single-line accesses and calls it for the rest, so
+    derived metrics are engine-exact (``tests/test_fastpath_equivalence.py``).
     """
 
     def __init__(self) -> None:
@@ -116,7 +116,7 @@ class HierarchyStats:
             level: 0 for level in CacheLevel
         }
         #: line index -> bitmask of cpus that ever touched the line.
-        self._line_users: dict[int, int] = {}
+        self.line_users: dict[int, int] = {}
 
     def record(
         self,
@@ -133,7 +133,7 @@ class HierarchyStats:
             self.miss_kind_counts[result.miss_kind] += 1
         if cpu is not None and first_line is not None:
             bit = 1 << cpu
-            users = self._line_users
+            users = self.line_users
             for line in range(first_line, (last_line or first_line) + 1):
                 users[line] = users.get(line, 0) | bit
 
@@ -166,9 +166,9 @@ class HierarchyStats:
         equivalence contract (``stats_snapshot() == snapshot()``) stays
         untouched.
         """
-        lines_total = len(self._line_users)
+        lines_total = len(self.line_users)
         lines_shared = sum(
-            1 for mask in self._line_users.values() if mask & (mask - 1)
+            1 for mask in self.line_users.values() if mask & (mask - 1)
         )
         counters = self.snapshot()
         counters["latency_by_level"] = {

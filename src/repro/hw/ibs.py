@@ -88,18 +88,21 @@ class IbsUnit:
         self.samples_corrupted = 0
         #: Installed by the machine when a fault plan is active.
         self.faults = None
-        self._countdown = rng.jitter(interval) if interval > 0 else 0
-
-    @property
-    def enabled(self) -> bool:
-        """Sampling happens only with a positive interval and a handler."""
-        return self.interval > 0 and self.handler is not None
+        #: Sampling happens only with a positive interval and a handler;
+        #: kept as a plain attribute (set by :meth:`configure`) because the
+        #: machine loop reads it on every instruction.
+        self.enabled = False
+        #: Instructions left until the next tag.  The machine loop
+        #: decrements it inline and calls :meth:`expire` only when it runs
+        #: out, so a non-firing instruction costs no call.
+        self.countdown = rng.jitter(interval) if interval > 0 else 0
 
     def configure(self, interval: int, handler: IbsHandler | None) -> None:
         """(Re)program the sampling interval and delivery handler."""
         self.interval = interval
         self.handler = handler
-        self._countdown = self.rng.jitter(interval) if interval > 0 else 0
+        self.enabled = interval > 0 and handler is not None
+        self.countdown = self.rng.jitter(interval) if interval > 0 else 0
 
     def on_instruction(
         self, instr: Instr, result: AccessResult | None, cycle: int
@@ -107,14 +110,24 @@ class IbsUnit:
         """Advance the tag counter; deliver a sample when it expires.
 
         Returns the overhead cycles the interrupt cost the core (0 when no
-        sample fired).
+        sample fired).  The machine loop inlines the countdown; this is
+        the same step for callers that drive the unit directly.
         """
         if not self.enabled:
             return 0
-        self._countdown -= 1
-        if self._countdown > 0:
+        self.countdown -= 1
+        if self.countdown > 0:
             return 0
-        self._countdown = self.rng.jitter(self.interval)
+        return self.expire(instr, result, cycle)
+
+    def expire(self, instr: Instr, result: AccessResult | None, cycle: int) -> int:
+        """Tag *instr*: the countdown ran out on it.
+
+        Re-arms the countdown *before* delivering, so a handler that
+        reprograms or disables the unit has the last word.  Returns the
+        interrupt's overhead cycles (0 when the tagged op was dropped).
+        """
+        self.countdown = self.rng.jitter(self.interval)
         if self.faults is not None and self.faults.drop_ibs_sample(self.cpu):
             # The tagged op never retired: no interrupt, no sample, no cost.
             self.samples_dropped += 1

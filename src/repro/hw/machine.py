@@ -137,6 +137,9 @@ class Machine:
         self._run_queues: list[deque[Thread]] = [
             deque() for _ in range(self.config.ncores)
         ]
+        #: Threads per core that have not finished, so picking a core
+        #: never rescans its run queue.
+        self._live = [0] * self.config.ncores
         self.threads: list[Thread] = []
         self.access_observers: list[AccessObserver] = []
         self.instr_observers: list[InstrObserver] = []
@@ -156,6 +159,7 @@ class Machine:
         thread = Thread(name, cpu, body)
         self.threads.append(thread)
         self._run_queues[cpu].append(thread)
+        self._live[cpu] += 1
         return thread
 
     def add_access_observer(self, observer: AccessObserver) -> None:
@@ -216,9 +220,9 @@ class Machine:
 
     def _pick_core(self, until_cycle: int | None) -> Core | None:
         best: Core | None = None
+        live = self._live
         for core in self.cores:
-            queue = self._run_queues[core.cpu]
-            if not any(not t.done for t in queue):
+            if not live[core.cpu]:
                 continue
             if until_cycle is not None and core.cycle >= until_cycle:
                 continue
@@ -254,51 +258,78 @@ class Machine:
             core.cycle = target
 
     def _run_quantum(self, core: Core, thread: Thread) -> None:
-        for _ in range(self.config.quantum):
-            try:
-                item = next(thread.body)
-            except StopIteration:
-                thread.state = Thread.DONE
-                return
-            if isinstance(item, Pause):
-                thread.state = Thread.PAUSED
-                thread.wake_at = core.cycle + max(item.cycles, 1)
-                return
-            self.execute(core, item)
+        """Run *thread* on *core* for up to one quantum of instructions.
 
-    # ------------------------------------------------------------------
-    # Instruction execution
-    # ------------------------------------------------------------------
-
-    def execute(self, core: Core, instr: Instr) -> AccessResult | None:
-        """Execute one instruction on *core*, firing all attached units."""
-        core.instructions += 1
-        self.total_instructions += 1
-        cost = instr.work
-        result: AccessResult | None = None
-        if instr.is_memory:
-            core.mem_accesses += 1
-            result = self.hierarchy.access(
-                core.cpu, instr.addr, instr.size, instr.is_write, instr.ip, core.cycle
-            )
-            cost += result.latency
-        core.cycle += cost
-
-        if result is not None and self.watches.any_armed:
-            trap_cost = self.watches.check(core.cpu, instr, result, core.cycle)
-            if trap_cost:
-                core.charge(trap_cost, overhead=True)
-
-        ibs_cost = core.ibs.on_instruction(instr, result, core.cycle)
-        if ibs_cost:
-            core.charge(ibs_cost, overhead=True)
-
-        for observer in self.instr_observers:
-            observer(core.cpu, instr, result, core.cycle)
-        if result is not None:
-            for observer in self.access_observers:
-                observer(core.cpu, instr, result, core.cycle)
-        return result
+        This is the simulator's only per-instruction loop.  Each memory
+        instruction goes through the hierarchy, then the debug-register
+        check, then the IBS countdown, then any observers; each unit is
+        paid for only when it has something to do.  State a trap or IBS
+        handler can change mid-quantum (armed watches, whether IBS is
+        enabled, attached observers) is re-read on every instruction.
+        The instruction counters are added once, when the quantum ends:
+        nothing reads them mid-quantum.
+        """
+        body = thread.body
+        cpu = core.cpu
+        ibs = core.ibs
+        access = self.hierarchy.access
+        watches = self.watches
+        # Mutated in place by arm/disarm, so membership tests below see
+        # a handler's changes on the very next instruction.
+        watched = watches.watched_lines
+        line_size = watches.line_size
+        instr_observers = self.instr_observers
+        access_observers = self.access_observers
+        executed = accesses = 0
+        try:
+            for _ in range(self.config.quantum):
+                try:
+                    instr = next(body)
+                except StopIteration:
+                    thread.state = Thread.DONE
+                    self._live[cpu] -= 1
+                    return
+                if isinstance(instr, Pause):
+                    thread.state = Thread.PAUSED
+                    thread.wake_at = core.cycle + max(instr.cycles, 1)
+                    return
+                executed += 1
+                if instr.kind == "exec":
+                    result = None
+                    core.cycle += instr.work
+                else:
+                    accesses += 1
+                    addr = instr.addr
+                    result = access(
+                        cpu, addr, instr.size, instr.kind == "store", instr.ip,
+                        core.cycle,
+                    )
+                    core.cycle += instr.work + result.latency
+                    if watched:
+                        first = addr // line_size
+                        last = (addr + max(instr.size, 1) - 1) // line_size
+                        if first in watched or last in watched or last - first > 1:
+                            trap_cost = watches.check(cpu, instr, result, core.cycle)
+                            if trap_cost:
+                                core.charge(trap_cost, overhead=True)
+                if ibs.enabled:
+                    countdown = ibs.countdown - 1
+                    if countdown > 0:
+                        ibs.countdown = countdown
+                    else:
+                        ibs_cost = ibs.expire(instr, result, core.cycle)
+                        if ibs_cost:
+                            core.charge(ibs_cost, overhead=True)
+                if instr_observers:
+                    for observer in instr_observers:
+                        observer(cpu, instr, result, core.cycle)
+                if result is not None and access_observers:
+                    for observer in access_observers:
+                        observer(cpu, instr, result, core.cycle)
+        finally:
+            core.instructions += executed
+            core.mem_accesses += accesses
+            self.total_instructions += executed
 
     # ------------------------------------------------------------------
     # Profiling support

@@ -30,7 +30,12 @@ from repro.kernel.symbols import SymbolTable
 
 
 class KernelEnv:
-    """Builds instructions with stable ips for simulated kernel code."""
+    """Builds instructions with stable ips for simulated kernel code.
+
+    Every executed instruction is built here, so ``Instr`` is constructed
+    with positional arguments: keyword construction of a dataclass costs
+    about three times as much.
+    """
 
     #: Default cache-line stride for bulk copies: one access per line is
     #: what matters to the cache model, whatever the real copy width.
@@ -48,13 +53,13 @@ class KernelEnv:
         """Load of one struct field."""
         addr, size = obj.field_addr(field)
         ip = self.symbols.ip_for(fn, f"R.{obj.otype.name}.{field}")
-        return Instr("load", fn, ip, addr=addr, size=size, work=work)
+        return Instr("load", fn, ip, addr, size, work)
 
     def write(self, fn: str, obj: KObject, field: str, work: int = 1) -> Instr:
         """Store to one struct field."""
         addr, size = obj.field_addr(field)
         ip = self.symbols.ip_for(fn, f"W.{obj.otype.name}.{field}")
-        return Instr("store", fn, ip, addr=addr, size=size, work=work)
+        return Instr("store", fn, ip, addr, size, work)
 
     def read_range(
         self, fn: str, obj: KObject, offset: int, size: int, work: int = 1
@@ -62,7 +67,7 @@ class KernelEnv:
         """Load of a raw offset range of an object (untyped data)."""
         addr, _ = obj.offset_addr(offset, size)
         ip = self.symbols.ip_for(fn, f"R.{obj.otype.name}+{offset}")
-        return Instr("load", fn, ip, addr=addr, size=size, work=work)
+        return Instr("load", fn, ip, addr, size, work)
 
     def write_range(
         self, fn: str, obj: KObject, offset: int, size: int, work: int = 1
@@ -70,7 +75,7 @@ class KernelEnv:
         """Store to a raw offset range of an object (untyped data)."""
         addr, _ = obj.offset_addr(offset, size)
         ip = self.symbols.ip_for(fn, f"W.{obj.otype.name}+{offset}")
-        return Instr("store", fn, ip, addr=addr, size=size, work=work)
+        return Instr("store", fn, ip, addr, size, work)
 
     # ------------------------------------------------------------------
     # Raw-address accesses (page tables, static data, lock words, ...)
@@ -78,15 +83,11 @@ class KernelEnv:
 
     def read_at(self, fn: str, site: str, addr: int, size: int, work: int = 1) -> Instr:
         """Load of an arbitrary address under an explicit site label."""
-        return Instr(
-            "load", fn, self.symbols.ip_for(fn, site), addr=addr, size=size, work=work
-        )
+        return Instr("load", fn, self.symbols.ip_for(fn, site), addr, size, work)
 
     def write_at(self, fn: str, site: str, addr: int, size: int, work: int = 1) -> Instr:
         """Store to an arbitrary address under an explicit site label."""
-        return Instr(
-            "store", fn, self.symbols.ip_for(fn, site), addr=addr, size=size, work=work
-        )
+        return Instr("store", fn, self.symbols.ip_for(fn, site), addr, size, work)
 
     # ------------------------------------------------------------------
     # Compute and bulk helpers
@@ -94,7 +95,7 @@ class KernelEnv:
 
     def work(self, fn: str, cycles: int, site: str = "compute") -> Instr:
         """Pure compute: burns *cycles* without touching memory."""
-        return Instr("exec", fn, self.symbols.ip_for(fn, site), work=cycles)
+        return Instr("exec", fn, self.symbols.ip_for(fn, site), 0, 0, cycles)
 
     def bulk(
         self,

@@ -27,10 +27,19 @@ class SymbolTable:
         self._fn_base: dict[str, int] = {}
         self._fn_sites: dict[str, dict[str, int]] = {}
         self._ip_to_sym: dict[int, tuple[str, str]] = {}
+        #: (fn, site) -> ip: kernel code asks for a site's ip on every
+        #: instruction it emits, so each site is interned only once.
+        self._ips: dict[tuple[str, str], int] = {}
         self._next_base = TEXT_BASE
 
     def ip_for(self, fn: str, site: str) -> int:
         """Return the stable ip of access site *site* inside function *fn*."""
+        ip = self._ips.get((fn, site))
+        if ip is None:
+            ip = self._intern(fn, site)
+        return ip
+
+    def _intern(self, fn: str, site: str) -> int:
         base = self._fn_base.get(fn)
         if base is None:
             base = self._next_base
@@ -46,6 +55,7 @@ class SymbolTable:
             sites[site] = offset
         ip = base + offset
         self._ip_to_sym[ip] = (fn, site)
+        self._ips[(fn, site)] = ip
         return ip
 
     def resolve(self, ip: int) -> str:

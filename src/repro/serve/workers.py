@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import queue
 import signal
 import time
 
@@ -40,6 +42,9 @@ from repro.workloads import SCENARIOS, build_kernel
 
 #: Poison pill telling a worker to exit its loop.
 _STOP = None
+
+#: How often an idle worker checks that its server is still alive.
+PARENT_POLL_S = 1.0
 
 
 def execute_job(spec: JobSpec, tracer=None) -> tuple[str, str, dict]:
@@ -139,11 +144,21 @@ def worker_main(worker_id: int, task_q, result_q, store_root: str) -> None:
 
     SIGINT is ignored (Ctrl-C belongs to the server, which drains);
     SIGTERM keeps its default so the server can terminate a stuck worker
-    during drain and requeue its job.
+    during drain and requeue its job.  A server killed outright sends no
+    poison pill, so an idle worker also exits once it has been reparented.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = os.getppid()
     while True:
-        item = task_q.get()
+        try:
+            item = task_q.get(timeout=PARENT_POLL_S)
+        except queue.Empty:
+            if os.getppid() != parent:
+                # Nobody reads the results any more: don't wait on the
+                # queue's feeder thread at exit.
+                result_q.cancel_join_thread()
+                return
+            continue
         if item is _STOP:
             result_q.put(("exit", worker_id, None))
             return

@@ -213,3 +213,93 @@ def test_deterministic_replay():
     first = build_and_run()
     second = build_and_run()
     assert first == second
+
+
+# ----------------------------------------------------------------------
+# The fused instruction loop: IBS countdown and mid-quantum handler edges
+# ----------------------------------------------------------------------
+
+
+def mixed_stream(n):
+    for i in range(n):
+        if i % 5 == 4:
+            yield Instr("exec", "fn", 100 + i % 3, work=2 + i % 4)
+        else:
+            kind = "store" if i % 3 == 0 else "load"
+            yield Instr(kind, "fn", 200 + i % 7, addr=0x100000 + (i * 72) % 4096, size=8)
+
+
+def test_loop_ibs_samples_match_unit_api():
+    """The loop's inline countdown delivers exactly the samples that
+    ``IbsUnit.on_instruction`` delivers for the same instruction stream."""
+    m = small_machine(ncores=1, quantum=5)
+    looped = []
+    m.configure_ibs(interval=7, handler=looped.append)
+    executed = []
+    m.add_instr_observer(lambda cpu, instr, result, cycle: executed.append((instr, result)))
+    m.spawn("t", 0, mixed_stream(600))
+    m.run()
+
+    unit = small_machine(ncores=1).cores[0].ibs  # same seed, same rng stream
+    direct = []
+    unit.configure(7, direct.append)
+    cycle = 0
+    for instr, result in executed:
+        cycle += instr.work + (result.latency if result is not None else 0)
+        cycle += unit.on_instruction(instr, result, cycle)
+
+    assert len(looped) > 50
+    assert [(s.cycle, s.ip, s.addr) for s in looped] == [
+        (s.cycle, s.ip, s.addr) for s in direct
+    ]
+    assert m.cores[0].cycle == cycle
+    assert m.cores[0].overhead_cycles == len(looped) * unit.interrupt_cycles
+
+
+def test_disable_ibs_from_handler_stops_sampling_mid_quantum():
+    m = small_machine(ncores=1, quantum=64)
+    samples = []
+
+    def handler(sample):
+        samples.append(sample)
+        m.disable_ibs()
+
+    # Interval ~3 against a 64-instruction quantum: the first sample
+    # fires a few instructions into the first quantum.
+    m.configure_ibs(interval=3, handler=handler)
+    m.spawn("t", 0, loads(200))
+    m.run()
+    assert len(samples) == 1
+    assert m.cores[0].overhead_cycles == m.cores[0].ibs.interrupt_cycles
+
+
+def test_watch_disarmed_by_its_own_handler_traps_once():
+    m = small_machine(ncores=1, quantum=64)
+    hits = []
+
+    def handler(cpu, instr, result, cycle):
+        hits.append(cycle)
+        m.watches.disarm(watch)
+
+    watch = m.watches.arm_all_cores(0x100000, 8, handler)
+    m.spawn("t", 0, iter([Instr("load", "f", 1, addr=0x100000, size=8)] * 20))
+    m.run()
+    assert len(hits) == 1
+    assert m.cores[0].overhead_cycles == m.watches.trap_cycles
+    assert m.cores[0].instructions == 20
+
+
+def test_watch_armed_by_ibs_handler_traps_later_in_the_quantum():
+    m = small_machine(ncores=1, quantum=64)
+    hits = []
+
+    def arm_once(sample):
+        if not m.watches.any_armed:
+            m.watches.arm_all_cores(0x100000, 8, lambda *a: hits.append(a[3]))
+
+    m.configure_ibs(interval=3, handler=arm_once)
+    m.spawn("t", 0, iter([Instr("load", "f", 1, addr=0x100000, size=8)] * 20))
+    m.run()
+    # The first sample lands within the first few instructions; every
+    # later load of the same 20-instruction quantum traps.
+    assert 10 <= len(hits) < 20

@@ -291,3 +291,39 @@ def test_serve_queue_backpressure(tmp_path):
         assert rejected["retry_after_s"] > 0
     finally:
         _stop(proc)
+
+
+def _running(pid):
+    """True while *pid* exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.slow
+def test_killed_server_leaves_no_pool_workers(tmp_path):
+    """A SIGKILLed server sends no poison pill; its idle workers must
+    notice they were orphaned and exit on their own."""
+    import os
+
+    from repro.serve.workers import PARENT_POLL_S
+
+    proc, port = _start_server(tmp_path, workers=2)
+    workers = []
+    try:
+        _wait_all(port, [_submit(port, "synthetic", seed=700)])
+        workers = _worker_pids(proc.pid)
+        assert len(workers) == 2, workers
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 2 * PARENT_POLL_S + 5.0
+        while any(_running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        _stop(proc)
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -242,11 +242,12 @@ def test_null_tracer_and_probe_are_inert():
 
 
 def test_tracing_overhead_under_five_percent():
-    profile = bench_self_profile(repeats=5)
+    # ~0.5 s or more per run, so one run's noise is well under the bound;
+    # the overhead is the median of 7 interleaved traced/untraced pairs.
+    profile = bench_self_profile(duration_cycles=2_000_000, repeats=7)
     assert profile["spans"] >= 3
     assert profile["stages"]["machine-sim"]["count"] == 1
-    # Min-of-5 keeps scheduler noise out; the gate itself is the PR's
-    # acceptance criterion (sampled counters, never per-event spans).
+    # Tracing uses sampled counters, never per-event spans: <5% overhead.
     assert profile["overhead_pct"] < 5.0, profile
 
 
