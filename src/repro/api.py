@@ -34,7 +34,6 @@ are breaking changes.
 
 from __future__ import annotations
 
-from repro.bench import collect_history_session
 from repro.config import RunConfig
 from repro.dprof.analysis import ANALYSIS_MODES, analyze_histories
 from repro.dprof.diagnosis import Diagnosis, Finding
@@ -49,7 +48,11 @@ from repro.serve.protocol import ServeClient, request_once
 from repro.serve.retry import RetryExhaustedError, RetryPolicy
 from repro.serve.server import ProfilingServer
 from repro.serve.store import SessionStore
-from repro.serve.workers import execute_job, execute_job_to_store
+from repro.serve.workers import (
+    collect_history_session,
+    execute_job,
+    execute_job_to_store,
+)
 from repro.trace import (
     NULL_TRACER,
     SimProbe,

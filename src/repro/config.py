@@ -5,8 +5,8 @@ historically duplicated across :class:`~repro.dprof.profiler.DProfConfig`,
 :class:`~repro.hw.machine.MachineConfig`, and
 :class:`~repro.serve.jobs.JobSpec`, each with its own default and its own
 validation.  :class:`RunConfig` folds them into a single frozen value
-accepted by :class:`~repro.dprof.profiler.DProf`, the CLI, the bench
-harness, and :meth:`~repro.serve.jobs.JobSpec.create` -- while the
+accepted by :class:`~repro.dprof.profiler.DProf`, the CLI, and
+:meth:`~repro.serve.jobs.JobSpec.create` -- while the
 legacy per-layer configs keep working unchanged via the adapter methods
 (:meth:`RunConfig.machine_config`, :meth:`RunConfig.dprof_config`,
 :meth:`RunConfig.job_kwargs`), which are tested to produce bit-identical

@@ -59,11 +59,6 @@ class TraceError(ReproError):
     missing span fields) or the trace API was misused."""
 
 
-class BenchFormatError(ReproError):
-    """A benchmark report document failed schema validation; the baseline
-    file is left untouched rather than committing a partial run."""
-
-
 class SessionFormatError(ProfilingError):
     """A session archive is malformed (bad JSON, unknown version, torn
     section, failed checksum).  Carries the offending ``path`` and

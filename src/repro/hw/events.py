@@ -85,9 +85,7 @@ class TraceEvent:
 
     ``seq`` is the global record order (the machine's execution order);
     replaying a recorded trace in ``seq`` order through a fresh hierarchy
-    reproduces the original run's cache state bit-for-bit.  Generated
-    (synthetic) streams instead define their canonical order by
-    ``(cycle, seq)`` -- see :func:`repro.hw.fastpath.merge_streams`.
+    reproduces the original run's cache state bit-for-bit.
     """
 
     seq: int

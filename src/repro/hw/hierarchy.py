@@ -147,9 +147,9 @@ class HierarchyStats:
     def snapshot(self) -> dict:
         """Plain-dict view of every counter, for comparison and JSON.
 
-        The differential harness (tests/test_fastpath_equivalence.py and
-        ``repro.bench``) diffs two engines' snapshots; any key-for-key
-        mismatch is an equivalence failure.
+        The differential tests (tests/test_fastpath_equivalence.py)
+        diff two engines' snapshots; any key-for-key mismatch is an
+        equivalence failure.
         """
         return {
             "accesses": self.accesses,
@@ -162,9 +162,8 @@ class HierarchyStats:
     def metrics_counters(self) -> dict:
         """Raw counters for :mod:`repro.metrics`, superset of snapshot().
 
-        Kept separate from :meth:`snapshot` so the replay engine's
-        equivalence contract (``stats_snapshot() == snapshot()``) stays
-        untouched.
+        Kept separate from :meth:`snapshot` so the engine-equivalence
+        contract on ``snapshot()`` stays untouched.
         """
         lines_total = len(self.line_users)
         lines_shared = sum(
@@ -197,7 +196,7 @@ class MemoryHierarchy:
         self.stats = HierarchyStats()
         #: When set to a list, every ``access()`` call appends a
         #: :class:`~repro.hw.events.TraceEvent` before simulating it, so
-        #: the run can later be replayed through another engine.  Prefer
+        #: the run can later be replayed through a fresh hierarchy.  Prefer
         #: :meth:`record_trace`, which guarantees detachment.
         self.trace_sink: list[TraceEvent] | None = None
 

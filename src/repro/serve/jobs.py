@@ -231,11 +231,13 @@ class JobSpec:
         return asdict(self)
 
     def canonical(self) -> dict:
-        """The result-determining fields only (priority and the trace
-        flag excluded -- neither changes the session archive)."""
+        """The result-determining fields only.  Priority, the trace flag,
+        the engine and the analysis pipeline are excluded: none of them
+        changes the session archive (both engines and both pipelines
+        write byte-identical archives)."""
         blob = asdict(self)
-        blob.pop("priority")
-        blob.pop("trace")
+        for name in ("priority", "trace", "engine", "analysis"):
+            blob.pop(name)
         return blob
 
     def digest(self) -> str:

@@ -5,8 +5,10 @@ session": build a kernel with the job's engine and seed, attach DProf
 (with the job's fault plan, if any), drive the scenario from the
 ``SCENARIOS`` registry, detach, and serialize the session.  Everything
 that runs jobs -- pool workers, the CLI's one-shot ``run-once``, and the
-benchmark's service-throughput scenario -- goes through this function,
-which is what makes service results bit-identical to one-shot runs.
+``dprofbench`` kernel workload -- goes through this function, which is
+what makes service results bit-identical to one-shot runs.
+:func:`collect_history_session` is the other session recipe: a full
+case-study run with pairwise history collection.
 
 The pool itself is deliberately simple: N long-lived processes pulling
 ``(job_id, spec)`` tuples from a shared task queue and pushing
@@ -38,7 +40,12 @@ from repro.trace import (
     Tracer,
     config_fingerprint,
 )
-from repro.workloads import SCENARIOS, build_kernel
+from repro.workloads import (
+    SCENARIOS,
+    ApacheWorkload,
+    MemcachedWorkload,
+    build_kernel,
+)
 
 #: Poison pill telling a worker to exit its loop.
 _STOP = None
@@ -137,6 +144,44 @@ def execute_job_to_store(spec: JobSpec, store_root) -> dict:
         outcome["trace_path"] = str(trace_path)
         outcome["spans"] = tracer.to_blobs()
     return outcome
+
+
+def collect_history_session(
+    name: str, *, ncores: int, seed: int
+):
+    """Run one case-study workload under DProf and collect pairwise
+    skbuff histories (the same attach/collect pattern the ``diagnose``
+    command uses); returns the detached profiler."""
+    kernel = build_kernel(ncores, seed=seed, engine="fast")
+    workload = (
+        MemcachedWorkload(kernel) if name == "memcached" else ApacheWorkload(kernel)
+    )
+    workload.setup()
+    workload.start()
+    if name == "apache":
+        # Apache traffic is arrival-driven (memcached's clients are
+        # self-sustaining); push a schedule long enough to cover history
+        # collection or no skbuffs ever churn.  Its packet rate is also
+        # lower, so sample denser and warm up longer before arming the
+        # collector -- every seed then fills all three history sets.
+        workload.schedule_arrivals(
+            30_000_000, start_cycle=kernel.elapsed_cycles()
+        )
+    ibs_interval = 200 if name == "apache" else 400
+    warmup = 1_200_000 if name == "apache" else 600_000
+    kernel.run(until_cycle=150_000)
+    dprof = DProf(kernel, DProfConfig(ibs_interval=ibs_interval))
+    dprof.attach()
+    kernel.run(until_cycle=kernel.elapsed_cycles() + warmup)
+    dprof.collect_histories(
+        "skbuff", sets=3, hot_chunks=4, member_offsets=[0], pair=True
+    )
+    kernel.run(
+        until_cycle=kernel.elapsed_cycles() + 20_000_000,
+        stop_when=lambda: dprof.histories_done,
+    )
+    dprof.detach()
+    return dprof
 
 
 def worker_main(worker_id: int, task_q, result_q, store_root: str) -> None:

@@ -21,8 +21,8 @@ Design constraints, in order:
   -- and the probe folds sampled progress points into the enclosing
   span when it closes.  With tracing disabled every instrumentation
   point is a no-op on the shared :data:`NULL_TRACER` singleton.
-  ``tests/test_trace.py`` gates the enabled-tracing cost at <5% on the
-  bench smoke scenarios.
+  ``tests/test_trace.py`` gates the enabled-tracing cost at <5% on a
+  served synthetic job.
 - **Process boundaries.**  Spans serialize to plain dicts
   (:meth:`Tracer.to_blobs`) and are re-parented canonically on the
   parent side (:meth:`Tracer.adopt`): adopted subtrees are re-keyed
@@ -178,12 +178,6 @@ class SimProbe:
         self.steps += 1
         if self.steps % self.sample_every == 0 and len(self.samples) < self.max_samples:
             self.samples.append((machine.total_instructions, machine.elapsed_cycles()))
-
-    def tick_events(self, events: int) -> None:
-        """Count a batch of replay events (fastpath chunked loops)."""
-        self.steps += events
-        if len(self.samples) < self.max_samples:
-            self.samples.append((self.steps, 0))
 
     def counters(self) -> dict:
         """The probe's contribution to its enclosing span."""

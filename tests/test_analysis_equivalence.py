@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from repro.bench import collect_history_session
+from repro.api import collect_history_session
 from repro.dprof.analysis import (
     amplify_corpus,
     analyze_histories,

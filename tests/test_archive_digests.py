@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.bench
+import repro.serve.workers
 from repro.api import (
     SCENARIOS,
     JobSpec,
@@ -97,7 +97,7 @@ def test_noop_observers_leave_archive_unchanged(pinned, monkeypatch):
     """Attached observers take the loop's observer branch; doing nothing
     there must change nothing."""
     seen = {"instr": 0, "access": 0}
-    build = repro.bench.build_kernel
+    build = repro.serve.workers.build_kernel
 
     def build_observed(*args, **kwargs):
         kernel = build(*args, **kwargs)
@@ -112,7 +112,7 @@ def test_noop_observers_leave_archive_unchanged(pinned, monkeypatch):
         kernel.machine.add_access_observer(on_access)
         return kernel
 
-    monkeypatch.setattr(repro.bench, "build_kernel", build_observed)
+    monkeypatch.setattr(repro.serve.workers, "build_kernel", build_observed)
     digest = session_digest("memcached", SEEDS[0])
     assert seen["instr"] > seen["access"] > 0
     assert digest == pinned["sessions"][f"memcached/{SEEDS[0]}"]

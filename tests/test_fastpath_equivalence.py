@@ -1,36 +1,32 @@
 """Differential tests: the fast engine must be bit-identical to the reference.
 
-Three layers of comparison, each across 5 seeds and all three scenarios
-(memcached, apache, synthetic):
+Two layers of comparison, each across 5 seeds:
 
-1. *Live machines*: a full workload run with ``engine="fast"`` must land
-   on exactly the same hierarchy stats, cache counters, invalidation
-   count, and DProf top-10 data-profile ranking as ``engine="reference"``.
-2. *Replays*: the trace recorded from the reference run, replayed through
-   :func:`replay_reference` and :func:`replay_fast`, must agree on every
-   per-access outcome (level, miss classification, latency, loss
-   records), all counters, the complete LRU state of every cache, and the
-   residual loss-record maps.
-3. *Trace generation*: sharded (multiprocessing) and serial synthetic
-   stream generation must produce byte-identical, cycle-ordered traces.
+1. *Live machines* (all three scenarios: memcached, apache, synthetic):
+   a full workload run with ``engine="fast"`` must land on exactly the
+   same hierarchy stats, cache counters, invalidation count, and DProf
+   top-10 data-profile ranking as ``engine="reference"``.
+2. *Access by access*: the trace recorded from the reference run, and a
+   seeded high-eviction generated stream, are fed through a fresh
+   :class:`MemoryHierarchy` and a fresh :class:`FastHierarchy` via
+   ``.access(...)``.  Both must agree on every per-access outcome (level,
+   miss classification, latency, loss records), all counters, the
+   complete LRU state of every cache, and the residual loss-record maps.
 
 Any nonzero delta anywhere fails; there is no tolerance.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import astuple
 
 import pytest
 
 from repro.dprof import DProf, DProfConfig
-from repro.hw.fastpath import (
-    build_synthetic_trace,
-    merge_streams,
-    replay_fast,
-    replay_reference,
-    synthetic_stream,
-)
+from repro.hw.fastpath import FastHierarchy, outcome_of
+from repro.hw.hierarchy import MemoryHierarchy
+from repro.hw.machine import MachineConfig
 from repro.workloads import SCENARIOS, build_kernel
 
 SEEDS = (3, 7, 11, 23, 42)
@@ -70,8 +66,8 @@ def profiled_run(engine: str, scenario: str, seed: int, *, record: bool = False)
     return state, trace, kernel.machine.config.hierarchy_config()
 
 
-def reference_loss_records(hierarchy):
-    """The reference directory's residual loss maps as plain tuples."""
+def loss_records(hierarchy):
+    """The directory's residual loss maps as plain tuples."""
     inv = [
         {line: astuple(rec) for line, rec in per_cpu.items()}
         for per_cpu in hierarchy.directory.invalidated
@@ -83,10 +79,54 @@ def reference_loss_records(hierarchy):
     return inv, ev
 
 
+def access_both(accesses, config):
+    """Feed ``(cpu, addr, size, is_write, ip, cycle)`` tuples through a
+    fresh reference and a fresh fast hierarchy; both must agree on every
+    outcome and on their end state.  Returns the reference hierarchy."""
+    ref = MemoryHierarchy(config)
+    fast = FastHierarchy(config)
+    for index, args in enumerate(accesses):
+        expected = outcome_of(ref.access(*args))
+        got = outcome_of(fast.access(*args))
+        assert got == expected, (index, args)
+    assert fast.stats.snapshot() == ref.stats.snapshot()
+    assert fast.cache_counters() == ref.cache_counters()
+    assert fast.replacement_snapshot() == ref.replacement_snapshot()
+    assert fast.directory.invalidation_count == ref.directory.invalidation_count
+    assert loss_records(fast) == loss_records(ref)
+    return ref
+
+
+def generated_accesses(seed: int, per_core: int, private_lines: int):
+    """A seeded multi-core access stream, round-robin across cores.
+
+    The mix exercises every coherence path: 32 shared lines
+    (invalidations and foreign serves), a per-core private region
+    (evictions once it exceeds the private caches), writes, and
+    occasional line-straddling accesses.
+    """
+    rng = random.Random(seed)
+    line_size = MachineConfig().line_size
+    cycle = 0
+    for i in range(per_core * NCORES):
+        cpu = i % NCORES
+        cycle += rng.randint(1, 10)
+        if rng.random() < 0.25:
+            line = rng.randrange(32)
+        else:
+            line = (1 << 20) * (cpu + 1) + rng.randrange(private_lines)
+        if rng.random() < 0.05:
+            offset, size = line_size - 8, 16
+        else:
+            offset, size = 8 * rng.randrange(line_size // 8 - 1), 8
+        is_write = rng.random() < 0.3
+        yield cpu, line * line_size + offset, size, is_write, 0x40_0000 + cpu, cycle
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_engines_equivalent(scenario: str, seed: int) -> None:
-    """Live runs, replays, and DProf rankings agree bit for bit."""
+    """Live runs, per-access outcomes, and DProf rankings agree bit for bit."""
     ref_state, events, config = profiled_run(
         "reference", scenario, seed, record=True
     )
@@ -94,59 +134,24 @@ def test_engines_equivalent(scenario: str, seed: int) -> None:
     assert fast_state == ref_state
 
     assert events, "reference run recorded no trace"
-    ref_hier, ref_outcomes = replay_reference(events, config, collect=True)
-    engine, fast_outcomes = replay_fast(events, config, collect=True)
-
-    # Per-access agreement: level served, miss classification, latency,
-    # and the loss record attached to each miss.
-    assert fast_outcomes == ref_outcomes
-    # End-state agreement, including full LRU order of every cache set.
-    assert engine.stats_snapshot() == ref_hier.stats.snapshot()
-    assert engine.cache_counters() == ref_hier.cache_counters()
-    assert engine.replacement_snapshot() == ref_hier.replacement_snapshot()
-    assert engine.invalidation_count == ref_hier.directory.invalidation_count
-    assert engine.loss_records() == reference_loss_records(ref_hier)
+    ref = access_both(
+        ((ev.cpu, ev.addr, ev.size, ev.is_write, ev.ip, ev.cycle) for ev in events),
+        config,
+    )
     # The trace replay must also reproduce the live run it came from.
-    assert ref_hier.stats.snapshot() == ref_state["stats"]
-    assert ref_hier.cache_counters() == ref_state["counters"]
+    assert ref.stats.snapshot() == ref_state["stats"]
+    assert ref.cache_counters() == ref_state["counters"]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_generated_trace_equivalence(seed: int) -> None:
-    """Replay equivalence holds on generated multi-core traces too."""
+    """Access-by-access equivalence holds on a high-eviction stream too."""
     # private_lines must exceed the private-cache capacity (L1+L2 =
-    # 1280 lines) or the trace never produces an eviction-classed miss.
-    events = build_synthetic_trace(seed, NCORES, 2_000, private_lines=1_536)
-    config = build_kernel(NCORES, seed=seed).machine.config.hierarchy_config()
-    ref_hier, ref_outcomes = replay_reference(events, config, collect=True)
-    engine, fast_outcomes = replay_fast(events, config, collect=True)
-    assert fast_outcomes == ref_outcomes
-    assert engine.stats_snapshot() == ref_hier.stats.snapshot()
-    assert engine.replacement_snapshot() == ref_hier.replacement_snapshot()
-    # The trace must exercise every miss class to be a meaningful check.
-    kinds = ref_hier.stats.snapshot()["miss_kinds"]
-    assert all(kinds.get(k, 0) > 0 for k in ("cold", "invalidation", "eviction"))
-
-
-def test_sharded_generation_matches_serial() -> None:
-    """Multiprocessing sharding is invisible: identical traces out."""
-    serial = build_synthetic_trace(17, NCORES, 800, workers=0)
-    sharded = build_synthetic_trace(17, NCORES, 800, workers=NCORES)
-    assert sharded == serial
-    # Canonical order: (cycle, seq) nondecreasing, seqs unique.
-    keys = [(ev.cycle, ev.seq) for ev in serial]
-    assert keys == sorted(keys)
-    assert len({ev.seq for ev in serial}) == len(serial)
-
-
-def test_merge_is_deterministic_cycle_order() -> None:
-    """merge_streams is a pure function of the per-CPU streams."""
-    streams = [
-        synthetic_stream(17, cpu, 300, seq_base=cpu, seq_step=NCORES)
-        for cpu in range(NCORES)
-    ]
-    merged = merge_streams(streams)
-    assert merged == merge_streams(list(reversed(streams)))
-    assert [(ev.cycle, ev.seq) for ev in merged] == sorted(
-        (ev.cycle, ev.seq) for stream in streams for ev in stream
+    # 1280 lines) or the stream never produces an eviction-classed miss.
+    config = MachineConfig(ncores=NCORES, seed=seed).hierarchy_config()
+    ref = access_both(
+        generated_accesses(seed, per_core=2_000, private_lines=1_536), config
     )
+    # The stream must exercise every miss class to be a meaningful check.
+    kinds = ref.stats.snapshot()["miss_kinds"]
+    assert all(kinds.get(k, 0) > 0 for k in ("cold", "invalidation", "eviction"))

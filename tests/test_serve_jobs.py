@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.dprof.session_io import load_session
-from repro.errors import BenchFormatError, QueueFullError, ServeError
+from repro.errors import QueueFullError, ServeError
 from repro.serve import JobQueue, JobSpec, ServeMetrics, SessionStore
 from repro.serve.jobs import Job, status_from_exit_code
 from repro.serve.workers import execute_job, execute_job_to_store
@@ -60,6 +60,13 @@ def test_spec_digest_excludes_priority():
     c = JobSpec.create(scenario="synthetic", seed=4)
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
+    # Both engines and both analysis pipelines write identical archives,
+    # so a spec differing only there is the same session.
+    d = JobSpec.create(
+        scenario="synthetic", seed=3, engine="reference", analysis="reference"
+    )
+    assert (d.engine, d.analysis) != (a.engine, a.analysis)
+    assert d.digest() == a.digest()
 
 
 def test_spec_wire_round_trip():
