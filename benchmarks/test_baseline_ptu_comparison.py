@@ -11,8 +11,8 @@ on the same run, names every one of those lines by type.
 from __future__ import annotations
 
 from benchmarks.conftest import write_artifact
+from repro.api import DProf, DProfConfig
 from repro.baselines.ptu import run_ptu
-from repro.dprof import DProf, DProfConfig
 from repro.hw.machine import MachineConfig
 from repro.kernel import Kernel
 from repro.workloads import MemcachedWorkload

@@ -2,10 +2,8 @@
 
 Everything a caller needs to profile, analyze, serve, and trace lives
 here, re-exported from its defining module.  Deep imports of internal
-modules keep working but are not covered by any stability promise, and
-the old package-level conveniences (``from repro.dprof import DProf``,
-``from repro.serve import ProfilingServer``) now emit a
-:class:`DeprecationWarning` pointing at this module.
+modules keep working but are not covered by any stability promise; the
+``repro.dprof`` and ``repro.serve`` packages re-export nothing.
 
 Groups:
 
@@ -20,7 +18,6 @@ Groups:
   :func:`execute_job_to_store`, :class:`SessionStore`;
 - **federation**: :class:`ClusterConfig`, :class:`ClusterServer`,
   :class:`RetryPolicy`, :class:`RetryExhaustedError`;
-- **configuration**: :class:`RunConfig`;
 - **tracing**: :class:`Tracer`, ``NULL_TRACER``, :class:`SimProbe`,
   :func:`load_trace`, :func:`render_tree`, :func:`stage_totals`,
   :func:`critical_path`, :func:`reconcile_serve`;
@@ -34,7 +31,6 @@ are breaking changes.
 
 from __future__ import annotations
 
-from repro.config import RunConfig
 from repro.dprof.analysis import ANALYSIS_MODES, analyze_histories
 from repro.dprof.diagnosis import Diagnosis, Finding
 from repro.dprof.profiler import DProf, DProfConfig
@@ -85,7 +81,6 @@ __all__ = (
     "ProfilingServer",
     "RetryExhaustedError",
     "RetryPolicy",
-    "RunConfig",
     "SCENARIOS",
     "ServeClient",
     "SessionStore",

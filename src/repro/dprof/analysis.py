@@ -62,10 +62,6 @@ from repro.util.rng import DeterministicRng
 #: Analysis pipelines selectable via ``DProfConfig(analysis=...)``.
 ANALYSIS_MODES = ("indexed", "reference")
 
-#: ip displacement between amplified corpus variants; far above the fake
-#: kernel text segment so shifted ips never collide with real symbols.
-_VARIANT_IP_STRIDE = 1 << 44
-
 
 class StatsView:
     """A picklable (type, offset-chunk, ip) -> :class:`AccessStats` lookup.
@@ -503,60 +499,8 @@ def analyze_histories(
 
 
 # ----------------------------------------------------------------------
-# Benchmark corpora: amplified real histories and generated ones
+# Test corpora: generated histories
 # ----------------------------------------------------------------------
-
-
-def amplify_corpus(
-    by_type: dict[str, list[ObjectAccessHistory]],
-    *,
-    shards: int = 4,
-    variants: int = 4,
-) -> dict[str, list[ObjectAccessHistory]]:
-    """Scale a collected history corpus for analysis benchmarking.
-
-    Each source type becomes *shards* independent type shards (so the
-    sharded pipeline has real cross-type parallelism to exploit), and
-    each shard holds *variants* ip-displaced copies of the source
-    histories (so the family count grows the way a code base with more
-    distinct execution paths would).  Variant 0 is the unmodified
-    original; the displacement is deterministic, far outside the fake
-    text segment, and identical for every pipeline under test.
-    """
-    amplified: dict[str, list[ObjectAccessHistory]] = {}
-    for type_name in sorted(by_type):
-        source = by_type[type_name]
-        for shard in range(shards):
-            shard_name = f"{type_name}@{shard}"
-            clones: list[ObjectAccessHistory] = []
-            for variant in range(variants):
-                shift = (shard * variants + variant) * _VARIANT_IP_STRIDE
-                for history in source:
-                    clone = ObjectAccessHistory(
-                        type_name=shard_name,
-                        object_base=history.object_base,
-                        object_cookie=history.object_cookie,
-                        offsets=history.offsets,
-                        alloc_cpu=history.alloc_cpu,
-                        alloc_cycle=history.alloc_cycle,
-                        set_index=history.set_index,
-                        truncated=history.truncated,
-                    )
-                    clone.free_cycle = history.free_cycle
-                    clone.free_cpu = history.free_cpu
-                    clone.elements = [
-                        HistoryElement(
-                            offset=el.offset,
-                            ip=el.ip + shift,
-                            cpu=el.cpu,
-                            time=el.time,
-                            is_write=el.is_write,
-                        )
-                        for el in history.elements
-                    ]
-                    clones.append(clone)
-            amplified[shard_name] = clones
-    return amplified
 
 
 def synthetic_history_corpus(
@@ -571,11 +515,10 @@ def synthetic_history_corpus(
 ) -> dict[str, list[ObjectAccessHistory]]:
     """A generated multi-type history corpus (no machine required).
 
-    Mirrors the PR 2 synthetic trace generator: a pure function of the
-    seed, so reference/indexed/sharded pipelines can be compared on a
-    workload with a known shape -- several types, several distinct
-    execution paths per type, a mix of pairwise and single-chunk
-    histories.
+    A pure function of the seed, so the reference, indexed and sharded
+    pipelines can be compared on a workload with a known shape --
+    several types, several distinct execution paths per type, a mix of
+    pairwise and single-chunk histories.
     """
     rng = DeterministicRng(seed, "analysis-corpus")
     corpus: dict[str, list[ObjectAccessHistory]] = {}

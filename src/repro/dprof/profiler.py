@@ -69,7 +69,8 @@ class DProfConfig:
     seed: int = 99
     #: Analysis pipeline: "indexed" (inverted-index clustering, optionally
     #: sharded across processes) or "reference" (the straightforward
-    #: implementation).  Bit-identical outputs either way.
+    #: implementation the differential tests compare against).
+    #: Bit-identical outputs either way.
     analysis: str = "indexed"
     #: Process count for multi-type analysis; 0 = one per available CPU.
     analysis_workers: int = 0
@@ -81,16 +82,11 @@ class DProf:
     def __init__(
         self,
         kernel: Kernel,
-        config: "DProfConfig | RunConfig | None" = None,
+        config: DProfConfig | None = None,
         faults: FaultPlan | None = None,
         tracer=None,
     ) -> None:
         self.kernel = kernel
-        if config is not None and not isinstance(config, DProfConfig):
-            # A unified RunConfig (repro.config): adapt it to the
-            # profiler's own knobs; machine-side knobs were consumed when
-            # the kernel's Machine was built.
-            config = config.dprof_config()
         self.config = config or DProfConfig()
         #: Span tracer (repro.trace); NULL_TRACER when tracing is off.
         if tracer is None:

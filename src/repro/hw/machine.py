@@ -42,10 +42,11 @@ class MachineConfig:
     ncores: int = 16
     seed: int = 42
     quantum: int = 16
-    #: Access-simulation engine: ``"reference"`` (readable OrderedDict/set
-    #: implementation) or ``"fast"`` (:mod:`repro.hw.fastpath`, bit-identical
-    #: results from array-backed recency counters and bitmask directory).
-    engine: str = "reference"
+    #: Access-simulation engine: ``"fast"`` (:mod:`repro.hw.fastpath`,
+    #: array-backed recency counters and bitmask directory) or
+    #: ``"reference"`` (the readable OrderedDict/set implementation, kept
+    #: as the oracle the differential tests compare against).
+    engine: str = "fast"
     line_size: int = 64
     l1_size: int = 16 * 1024
     l1_ways: int = 8

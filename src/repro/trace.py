@@ -35,8 +35,8 @@ Design constraints, in order:
   checks span counts against a counter snapshot exactly.
 
 Exports land on disk as JSON lines next to the session archive: a
-``manifest`` record (config fingerprint, engine/analysis mode, quality,
-per-stage wall/cpu totals) followed by one record per span.  The
+``manifest`` record (config fingerprint, quality, per-stage wall/cpu
+totals) followed by one record per span.  The
 ``repro trace`` CLI renders the stage tree and the critical path.
 """
 
@@ -336,8 +336,6 @@ class Tracer:
         self,
         *,
         fingerprint: str = "",
-        engine: str = "",
-        analysis: str = "",
         quality: str = "",
         **extra,
     ) -> dict:
@@ -347,8 +345,6 @@ class Tracer:
             "version": TRACE_FORMAT_VERSION,
             "seed": self.seed,
             "fingerprint": fingerprint,
-            "engine": engine,
-            "analysis": analysis,
             "quality": quality,
             "spans": len(self.spans),
             "stages": self.stage_totals(),
@@ -523,9 +519,7 @@ def render_tree(spans: list[Span], manifest: dict | None = None, top: int = 0) -
     if manifest is not None:
         lines.append(
             f"trace seed={manifest.get('seed')} "
-            f"fingerprint={manifest.get('fingerprint') or '-'} "
-            f"engine={manifest.get('engine') or '-'} "
-            f"analysis={manifest.get('analysis') or '-'}"
+            f"fingerprint={manifest.get('fingerprint') or '-'}"
         )
         if manifest.get("quality"):
             lines.append(f"quality: {manifest['quality']}")

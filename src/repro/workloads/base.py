@@ -8,7 +8,7 @@ from repro.hw.machine import MachineConfig
 from repro.kernel.kernel import Kernel
 
 
-def build_kernel(ncores: int, seed: int, engine: str = "reference") -> Kernel:
+def build_kernel(ncores: int, seed: int, engine: str = "fast") -> Kernel:
     """A kernel on a fresh machine, parameterised the way the benchmark
     harness and the differential tests need: core count, root seed, and
     access-simulation engine."""

@@ -653,7 +653,7 @@ def scenario_defaults() -> dict:
 
 
 def kernel_access_stream(
-    spec: KernelSpec, seed: int = 11, engine: str = "reference"
+    spec: KernelSpec, seed: int = 11, engine: str = "fast"
 ) -> bytes:
     """The full recorded access stream for *spec* under *seed*, as bytes.
 

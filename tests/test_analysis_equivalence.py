@@ -20,7 +20,6 @@ import pytest
 
 from repro.api import collect_history_session
 from repro.dprof.analysis import (
-    amplify_corpus,
     analyze_histories,
     builder_for,
     synthetic_history_corpus,
@@ -123,22 +122,6 @@ def test_synthetic_corpus_identical(seed: int) -> None:
             symbols, None, corpus, mode="indexed", workers=workers
         )
         assert {t: fingerprint(tr) for t, tr in got.items()} == ref_fp
-
-
-def test_amplified_corpus_identical() -> None:
-    """The benchmark's amplified corpus is equivalence-safe too."""
-    corpus = synthetic_history_corpus(11, types=2, histories_per_type=24)
-    amplified = amplify_corpus(corpus, shards=3, variants=2)
-    assert len(amplified) == 6
-    symbols = SymbolTable()
-    ref = analyze_histories(symbols, None, amplified, mode="reference", workers=1)
-    for workers in WORKER_COUNTS:
-        got = analyze_histories(
-            symbols, None, amplified, mode="indexed", workers=workers
-        )
-        assert {t: fingerprint(tr) for t, tr in got.items()} == {
-            t: fingerprint(tr) for t, tr in ref.items()
-        }
 
 
 def test_unknown_mode_rejected() -> None:

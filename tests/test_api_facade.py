@@ -1,19 +1,12 @@
-"""repro.api facade: pinned surface, deprecation shims, RunConfig adapters."""
+"""repro.api facade: the pinned public surface."""
 
 import importlib
-import json
 import sys
 import warnings
 
-import pytest
-
-from repro.config import RunConfig
-from repro.dprof.profiler import DProf, DProfConfig
-from repro.dprof.session_io import export_session
-from repro.errors import ConfigError
-from repro.hw.machine import MachineConfig
+from repro.dprof.profiler import DProf
 from repro.serve.jobs import JobSpec
-from repro.workloads import SCENARIOS, build_kernel
+from repro.workloads import SCENARIOS
 
 #: The public API contract.  Additions belong at the right spot in
 #: repro.api.__all__ AND here; removals/renames are breaking changes.
@@ -36,7 +29,6 @@ EXPECTED_ALL = (
     "ProfilingServer",
     "RetryExhaustedError",
     "RetryPolicy",
-    "RunConfig",
     "SCENARIOS",
     "ServeClient",
     "SessionStore",
@@ -74,7 +66,6 @@ def test_api_names_resolve_and_match_defining_modules():
     # Facade names are re-exports, not copies.
     assert repro.api.DProf is DProf
     assert repro.api.JobSpec is JobSpec
-    assert repro.api.RunConfig is RunConfig
     assert repro.api.SCENARIOS is SCENARIOS
 
 
@@ -90,124 +81,3 @@ def test_api_imports_clean_under_deprecation_errors():
             importlib.import_module("repro.api")
     finally:
         sys.modules.update(saved)
-
-
-@pytest.mark.parametrize(
-    ("package", "name"),
-    [("repro.dprof", "DProf"), ("repro.serve", "JobSpec")],
-)
-def test_deep_import_emits_exactly_one_deprecation_warning(package, name):
-    saved = sys.modules.pop(package, None)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            module = importlib.import_module(package)
-            getattr(module, name)
-        relevant = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(relevant) == 1, [str(w.message) for w in caught]
-        assert "repro.api" in str(relevant[0].message)
-        # Second access is cached: no further warning.
-        with warnings.catch_warnings(record=True) as again:
-            warnings.simplefilter("always")
-            getattr(module, name)
-        assert not again
-    finally:
-        if saved is not None:
-            # Re-importing rebound the parent package's attribute to the
-            # throwaway module; restore both views or later tests resolve
-            # a stale `repro.serve`/`repro.dprof` with no submodule attrs.
-            sys.modules[package] = saved
-            parent, _, child = package.rpartition(".")
-            setattr(sys.modules[parent], child, saved)
-
-
-def test_shim_unknown_name_raises_attribute_error():
-    import repro.dprof
-    import repro.serve
-
-    with pytest.raises(AttributeError):
-        repro.dprof.no_such_name
-    with pytest.raises(AttributeError):
-        repro.serve.no_such_name
-
-
-# ----------------------------------------------------------------------
-# RunConfig: validation and bit-identical adapters
-# ----------------------------------------------------------------------
-
-
-def test_run_config_validates_eagerly():
-    with pytest.raises(ConfigError):
-        RunConfig(engine="warp")
-    with pytest.raises(ConfigError):
-        RunConfig(analysis="psychic")
-    with pytest.raises(ConfigError):
-        RunConfig(analysis_workers=-1)
-
-
-def test_run_config_adapters_match_legacy_configs():
-    run = RunConfig(seed=7, engine="fast", analysis="reference", analysis_workers=2)
-    assert run.machine_config(ncores=2) == MachineConfig(
-        ncores=2, seed=7, engine="fast"
-    )
-    legacy = DProfConfig(analysis="reference", analysis_workers=2)
-    assert run.dprof_config() == legacy
-    # The profiler seed stays DProfConfig's own default (it is an
-    # independent knob), unless overridden explicitly.
-    assert run.dprof_config().seed == DProfConfig().seed
-    assert run.dprof_config(seed=1).seed == 1
-
-
-def test_job_spec_from_run_config_matches_legacy_kwargs():
-    run = RunConfig(seed=21, engine="fast", analysis="indexed")
-    via_run = JobSpec.create(scenario="synthetic", duration=30_000, run=run)
-    legacy = JobSpec.create(
-        scenario="synthetic",
-        duration=30_000,
-        seed=21,
-        engine="fast",
-        analysis="indexed",
-    )
-    assert via_run == legacy
-    assert via_run.digest() == legacy.digest()
-    # Explicit kwargs win over the RunConfig values.
-    override = JobSpec.create(
-        scenario="synthetic", duration=30_000, run=run, seed=5
-    )
-    assert override.seed == 5
-
-
-def _session_via(config_builder):
-    kernel = build_kernel(2, seed=17, engine="fast")
-    machine_config, dprof_config = config_builder()
-    assert kernel.machine.config.line_size == machine_config.line_size
-    dprof = DProf(kernel, dprof_config)
-    dprof.attach()
-    try:
-        SCENARIOS["synthetic"](kernel, 30_000)
-    finally:
-        dprof.detach()
-    return json.dumps(export_session(dprof), sort_keys=True)
-
-
-def test_run_config_sessions_bit_identical_to_legacy():
-    run = RunConfig(seed=17, engine="fast", analysis="indexed")
-    via_run = _session_via(
-        lambda: (run.machine_config(ncores=2), run.dprof_config())
-    )
-    via_legacy = _session_via(
-        lambda: (
-            MachineConfig(ncores=2, seed=17, engine="fast"),
-            DProfConfig(analysis="indexed"),
-        )
-    )
-    assert via_run == via_legacy
-
-
-def test_dprof_accepts_run_config_directly():
-    kernel = build_kernel(2, seed=17, engine="fast")
-    dprof = DProf(kernel, RunConfig(seed=17, engine="fast"))
-    assert isinstance(dprof.config, DProfConfig)
-    assert dprof.config.analysis == "indexed"

@@ -23,7 +23,8 @@ from dataclasses import astuple
 
 import pytest
 
-from repro.dprof import DProf, DProfConfig
+import repro.cli
+from repro.api import DProf, DProfConfig
 from repro.hw.fastpath import FastHierarchy, outcome_of
 from repro.hw.hierarchy import MemoryHierarchy
 from repro.hw.machine import MachineConfig
@@ -155,3 +156,19 @@ def test_generated_trace_equivalence(seed: int) -> None:
     # The stream must exercise every miss class to be a meaningful check.
     kinds = ref.stats.snapshot()["miss_kinds"]
     assert all(kinds.get(k, 0) > 0 for k in ("cold", "invalidation", "eviction"))
+
+
+def test_fast_engine_is_the_default(monkeypatch) -> None:
+    """Nothing above MachineConfig picks an engine: kernels and the
+    one-shot CLI run the fast one, so the reference engine is reached
+    only by naming it, as the differential tests above do."""
+    assert type(build_kernel(2, seed=1).machine.hierarchy) is FastHierarchy
+    built = []
+
+    def recording_build(*args, **kwargs):
+        built.append(build_kernel(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(repro.cli, "build_kernel", recording_build)
+    assert repro.cli.main(["memcached", "--cores", "2", "--duration", "20000"]) == 0
+    assert [type(k.machine.hierarchy) for k in built] == [FastHierarchy]

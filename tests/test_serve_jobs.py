@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from repro.api import JobSpec, SessionStore
 from repro.dprof.session_io import load_session
 from repro.errors import QueueFullError, ServeError
-from repro.serve import JobQueue, JobSpec, ServeMetrics, SessionStore
-from repro.serve.jobs import Job, status_from_exit_code
+from repro.serve.jobs import Job, JobQueue, status_from_exit_code
+from repro.serve.metrics import ServeMetrics
 from repro.serve.workers import execute_job, execute_job_to_store
 from repro.workloads import SCENARIO_DEFAULTS
 
@@ -23,7 +24,6 @@ def test_spec_create_resolves_scenario_defaults():
     assert spec.cores == defaults.cores
     assert spec.duration == defaults.duration
     assert spec.interval == defaults.interval
-    assert spec.engine == "fast"
 
 
 def test_spec_create_none_means_unset():
@@ -35,11 +35,6 @@ def test_spec_create_none_means_unset():
 def test_spec_create_rejects_unknown_scenario():
     with pytest.raises(ServeError, match="unknown scenario"):
         JobSpec.create(scenario="postgres")
-
-
-def test_spec_create_rejects_bad_engine():
-    with pytest.raises(ServeError, match="unknown engine"):
-        JobSpec.create(scenario="memcached", engine="warp")
 
 
 def test_spec_create_rejects_nonpositive_ints():
@@ -60,13 +55,14 @@ def test_spec_digest_excludes_priority():
     c = JobSpec.create(scenario="synthetic", seed=4)
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
-    # Both engines and both analysis pipelines write identical archives,
-    # so a spec differing only there is the same session.
-    d = JobSpec.create(
-        scenario="synthetic", seed=3, engine="reference", analysis="reference"
+    # Requeue files, lease files and submit messages written while specs
+    # still carried engine/analysis choices load as the same spec, with
+    # the digest those writers computed.
+    stored = {**a.to_wire(), "engine": "reference", "analysis": "reference"}
+    assert JobSpec.from_wire(stored) == JobSpec.from_wire(a.to_wire()) == a
+    assert JobSpec.from_wire(stored).digest() == a.digest() == (
+        "91ccd7850cda2406e70f4aa640bb3ee202fa601abc7b5dda8951f704ebfa8d57"
     )
-    assert (d.engine, d.analysis) != (a.engine, a.analysis)
-    assert d.digest() == a.digest()
 
 
 def test_spec_wire_round_trip():

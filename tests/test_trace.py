@@ -137,14 +137,12 @@ def test_jsonl_round_trip(tmp_path):
     tracer = _build(seed=3)
     manifest = tracer.manifest(
         fingerprint=config_fingerprint({"seed": 3}),
-        engine="fast",
-        analysis="indexed",
         quality="ok",
     )
     path = tracer.write_jsonl(tmp_path / "t" / "run.trace.jsonl", manifest)
     loaded_manifest, spans = load_trace(path)
     assert loaded_manifest["kind"] == "manifest"
-    assert loaded_manifest["engine"] == "fast"
+    assert loaded_manifest["quality"] == "ok"
     assert loaded_manifest["spans"] == len(tracer.spans) == len(spans)
     assert [s.span_id for s in spans] == [s.span_id for s in tracer.spans]
     totals = stage_totals(spans)
@@ -177,7 +175,7 @@ def test_render_tree_and_critical_path():
 
 def _spec(**extra):
     return JobSpec.create(
-        scenario="synthetic", seed=13, duration=30_000, engine="fast", **extra
+        scenario="synthetic", seed=13, duration=30_000, **extra
     )
 
 
@@ -256,7 +254,6 @@ def _self_profile(*, duration_cycles: int, repeats: int) -> dict:
         cores=4,
         seed=11,
         duration=duration_cycles,
-        engine="fast",
     )
     execute_job(spec)  # warmup: imports, interned symbols, allocator
     untraced: list[float] = []
